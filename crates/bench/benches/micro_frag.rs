@@ -52,6 +52,43 @@ fn fragmented_group() -> CylGroup {
     cg
 }
 
+/// A paper-geometry group with every data block allocated except for
+/// 1- and 2-frag holes in every fifth block: the near-full, short-hole
+/// regime of a spilling news spool, where first fit for 3 or more frags
+/// is rejected by the summary and shorter requests scan partial lanes.
+fn short_hole_group() -> CylGroup {
+    let params = FsParams::paper_502mb();
+    let mut cg = CylGroup::new(&params, CgIdx(1));
+    let fpb = cg.frags_per_block();
+    for b in cg.meta_blocks()..cg.nblocks() {
+        cg.alloc_block(b);
+        if b % 5 == 0 {
+            let hole = 1 + b % 2;
+            cg.free_frag_run(b, fpb - hole, hole);
+        }
+    }
+    cg
+}
+
+/// [`fragmented_group`] with a fully free block every 16 blocks, so the
+/// nearest free block is always close to `from` and first fit scans only
+/// the few partial lanes before it.
+fn near_free_block_group() -> CylGroup {
+    let mut cg = fragmented_group();
+    for b in (cg.meta_blocks()..cg.nblocks()).step_by(16) {
+        match cg.map_byte(b) {
+            0 => {}
+            lane if lane == cg.full_lane() => cg.free_block(b),
+            lane => {
+                for frag in (0..cg.frags_per_block()).filter(|f| lane & (1 << f) != 0) {
+                    cg.free_frag_run(b, frag, 1);
+                }
+            }
+        }
+    }
+    cg
+}
+
 fn sweep_firstfit(cg: &CylGroup) -> u64 {
     let mut acc = 0u64;
     for from in (0..cg.nblocks()).step_by(53) {
@@ -121,9 +158,14 @@ fn churn_frags(cg: &mut CylGroup) -> u64 {
 
 fn bench(c: &mut Criterion) {
     let cg = fragmented_group();
+    let short = short_hole_group();
+    let near = near_free_block_group();
     // Identical answers are the frag oracle's job; asserting here too
     // keeps the bench honest if it outlives a behavior change.
     assert_eq!(sweep_firstfit(&cg), sweep_firstfit_naive(&cg));
+    assert_eq!(sweep_firstfit(&short), sweep_firstfit_naive(&short));
+    assert_eq!(sweep_firstfit(&near), sweep_firstfit_naive(&near));
+    assert_eq!(short.free_blocks(), 0, "short-hole group has no free block");
     assert_eq!(sweep_bestfit(&cg), sweep_bestfit_naive(&cg));
     assert_eq!(
         cg.frag_summary(),
@@ -136,6 +178,18 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("frag_firstfit_naive", |b| {
         b.iter(|| sweep_firstfit_naive(black_box(&cg)))
+    });
+    g.bench_function("frag_firstfit_short_holes", |b| {
+        b.iter(|| sweep_firstfit(black_box(&short)))
+    });
+    g.bench_function("frag_firstfit_short_holes_naive", |b| {
+        b.iter(|| sweep_firstfit_naive(black_box(&short)))
+    });
+    g.bench_function("frag_firstfit_near_free_block", |b| {
+        b.iter(|| sweep_firstfit(black_box(&near)))
+    });
+    g.bench_function("frag_firstfit_near_free_block_naive", |b| {
+        b.iter(|| sweep_firstfit_naive(black_box(&near)))
     });
     g.bench_function("frag_bestfit_frsum", |b| {
         b.iter(|| sweep_bestfit(black_box(&cg)))

@@ -8,8 +8,11 @@
 //! 64, so a block's lane never straddles a word and every lane test is
 //! one shift and mask.
 //!
-//! Search does not walk the raw map. Three derived structures, maintained
-//! incrementally on every allocation and free, carry it at word speed:
+//! Search does not walk the raw map blindly. Three derived structures,
+//! maintained incrementally on every allocation and free, reject
+//! impossible requests without touching the map and carry the rest at
+//! word speed (the run histograms and fill table kept beside them feed
+//! the free-space analytics, not search):
 //!
 //! * `free_words` — one bit per block (set = fully free), packed into
 //!   `u64` words, so the scans behind [`CylGroup::find_free_block`] and
@@ -23,8 +26,12 @@
 //! * `frsum` — the fragment summary (`cg_frsum`): `frsum[k-1]` counts the
 //!   maximal free fragment runs of exactly `k` fragments inside
 //!   *partially allocated* blocks (fully free and fully allocated blocks
-//!   contribute nothing). It drives the best-fit fragment search of
-//!   [`CylGroup::find_frag_run_bestfit`], which picks the smallest
+//!   contribute nothing). Both fragment searches start from it. The
+//!   default first fit, [`CylGroup::find_frag_run`], rejects a request
+//!   in O(fpb) when neither `frsum` nor the free-block count admits a
+//!   run, and scans the map only up to the nearest fully free block,
+//!   not reading the map at all when no partial hole is long enough; the
+//!   best fit, [`CylGroup::find_frag_run_bestfit`], picks the smallest
 //!   adequate run size before touching the map at all — `ffs_alloccg`'s
 //!   `allocsiz` loop.
 //!
@@ -944,11 +951,33 @@ impl CylGroup {
     /// it lies in a partially allocated fragment block or at the start of
     /// a fully free block (which this allocation then splits). Locality
     /// beats frugality, exactly as in the BSD code.
+    ///
+    /// The summaries bound how much of the map is read:
+    ///
+    /// * a run of `len < fpb` free fragments in one lane lies either in a
+    ///   fully free block or in a partial block with a maximal hole of
+    ///   some `k >= len`, so it exists iff `free_blocks > 0` or
+    ///   `frsum[k-1] > 0` for some `k >= len` — otherwise the request is
+    ///   rejected in O(fpb) without reading the map;
+    /// * first fit over `[lo, hi)` is the earlier of the first adequate
+    ///   partial lane and the first fully free block `fb` (taken at frag
+    ///   0), and nothing before `fb` is fully free, so the fragment words
+    ///   are scanned only over `[lo, fb)`, and not at all when `frsum`
+    ///   has no bucket `>= len`. The forward pass and the wrap pass are
+    ///   bounded alike.
+    // Inlined into the allocator's per-group closure, as the unbounded
+    // search was: on the paper workload a call reads under two map
+    // words, so a call frame is a visible share of it.
+    #[inline]
     pub fn find_frag_run(&self, from: u32, len: u32) -> Option<FragRun> {
         debug_assert!(len >= 1 && len < self.fpb);
-        // A fitting run needs at least `len` free fragments somewhere;
-        // skip the map scan outright when the count rules one out.
-        if self.free_frags < len {
+        let partial_fits = self.frsum[(len - 1) as usize..].iter().any(|&c| c > 0);
+        if !partial_fits && self.free_blocks == 0 {
+            obs::counter!("ffs.frag_summary_reject", 1);
+            debug_assert!(
+                self.scan_free_run(0, self.nblocks, len).is_none(),
+                "frsum and free_blocks rule out a {len}-frag run but the map has one"
+            );
             return None;
         }
         let start = if from >= self.nblocks {
@@ -956,28 +985,17 @@ impl CylGroup {
         } else {
             from
         };
-        self.scan_free_run(start, self.nblocks, len)
-            .or_else(|| self.scan_free_run(0, start, len))
-            .map(|(block, frag)| FragRun { block, frag, len })
-    }
-
-    /// Like [`CylGroup::find_frag_run`] but restricted to partially
-    /// allocated blocks (the `cg_frsum`-guided search). Kept for the
-    /// frugal-fragments ablation.
-    pub fn find_frag_run_partial_only(&self, from: u32, len: u32) -> Option<FragRun> {
-        debug_assert!(len >= 1 && len < self.fpb);
-        // The partial-block census bounds what this search can find.
-        if self.free_frags_partial < len {
-            return None;
-        }
-        let start = if from >= self.nblocks {
-            self.meta_blocks
-        } else {
-            from
+        let first_fit = |lo: u32, hi: u32| {
+            let fb = next_set_bit(&self.free_words, lo.max(self.meta_blocks), hi);
+            let hole = if partial_fits {
+                self.scan_free_run(lo, fb.unwrap_or(hi), len)
+            } else {
+                None
+            };
+            hole.or(fb.map(|b| (b, 0)))
         };
-        let pick = |lane: u8| first_zero_run(lane, self.fpb, len);
-        self.scan_partial_lanes(start, self.nblocks, pick)
-            .or_else(|| self.scan_partial_lanes(0, start, pick))
+        first_fit(start, self.nblocks)
+            .or_else(|| first_fit(0, start))
             .map(|(block, frag)| FragRun { block, frag, len })
     }
 
@@ -1203,23 +1221,6 @@ fn run_mask(frag: u32, len: u32) -> u8 {
     (((1u16 << len) - 1) << frag) as u8
 }
 
-/// First position of a run of at least `len` zero bits within the low
-/// `fpb` bits of `byte`.
-fn first_zero_run(byte: u8, fpb: u32, len: u32) -> Option<u32> {
-    let mut run = 0u32;
-    for i in 0..fpb {
-        if byte & (1 << i) == 0 {
-            run += 1;
-            if run >= len {
-                return Some(i + 1 - len);
-            }
-        } else {
-            run = 0;
-        }
-    }
-    None
-}
-
 /// First position of a *maximal* run of exactly `len` zero bits within
 /// the low `fpb` bits of `byte` — bounded by set bits or the lane edges,
 /// matching what the fragment summary counts.
@@ -1372,20 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn frag_run_partial_only_skips_free_blocks() {
-        let (_, mut cg) = group();
-        let m = cg.meta_blocks();
-        cg.alloc_frags(m + 2, 0, 2);
-        let run = cg
-            .find_frag_run_partial_only(m, 3)
-            .expect("fragment block exists");
-        assert_eq!(run.block, m + 2);
-        assert!(cg.is_block_free(m), "free block must not be taken");
-        cg.free_frag_run(m + 2, 0, 2);
-        assert!(cg.find_frag_run_partial_only(m, 1).is_none());
-    }
-
-    #[test]
     fn frag_run_respects_length() {
         let (_, mut cg) = group();
         let m = cg.meta_blocks();
@@ -1447,12 +1434,9 @@ mod tests {
     }
 
     #[test]
-    fn run_mask_and_zero_run_helpers() {
+    fn run_mask_covers_the_run() {
         assert_eq!(run_mask(0, 8), 0xFF);
         assert_eq!(run_mask(2, 3), 0b0001_1100);
-        assert_eq!(first_zero_run(0b0001_1100, 8, 2), Some(0));
-        assert_eq!(first_zero_run(0b0001_1111, 8, 3), Some(5));
-        assert_eq!(first_zero_run(0xFF, 8, 1), None);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! frag-per-block geometry (1, 2, 4, 8 — each leaving a non-multiple-
 //! of-64 trailing fragment word on the odd group size) and assert that
 //! the searches are bit-for-bit identical and that the summary always
-//! equals a from-scratch recount, after *every* mutation.
+//! equals a from-scratch recount, after *every* mutation. Hand-built
+//! groups then pin each path of the summary-guided first fit (the
+//! `frsum` reject, the free-block shortcut, the scan bounded by the
+//! nearest free block, the wrap) against the reference for every query.
 
 use ffs::naive;
 use ffs::CylGroup;
@@ -229,5 +232,177 @@ fn bestfit_never_splits_while_a_partial_run_fits() {
         cg.alloc_frags(m + 50, fpb - 1, 1);
         assert!(cg.find_frag_run_bestfit(m, 1).is_none());
         assert!(naive::find_frag_run_bestfit(&cg, m, 1).is_none());
+    }
+}
+
+/// Every first-fit query on the group — each `from` in range, just past
+/// the end and at `u32::MAX`, with every sub-block length — against the
+/// naive reference.
+fn assert_every_firstfit_matches(cg: &CylGroup) {
+    let (n, fpb) = (cg.nblocks(), cg.frags_per_block());
+    for from in (0..n + 2).chain([u32::MAX]) {
+        for len in 1..fpb {
+            assert_eq!(
+                cg.find_frag_run(from, len).map(|r| (r.block, r.frag)),
+                naive::find_frag_run(cg, from, len),
+                "find_frag_run(from={from}, len={len}, fpb={fpb})"
+            );
+        }
+    }
+}
+
+/// `find_frag_run`'s answer as `(block, frag)`.
+fn first_fit(cg: &CylGroup, from: u32, len: u32) -> Option<(u32, u32)> {
+    cg.find_frag_run(from, len).map(|r| (r.block, r.frag))
+}
+
+/// The last group of the geometry with every data block allocated.
+fn full_group(fsize: u32) -> CylGroup {
+    let params = geometry(fsize);
+    let mut cg = CylGroup::new(&params, CgIdx(params.ncg - 1));
+    for b in cg.meta_blocks()..cg.nblocks() {
+        cg.alloc_block(b);
+    }
+    cg
+}
+
+/// Opens a hole of `len` fragments at the end of an allocated block's
+/// lane, leaving the block partial.
+fn open_hole(cg: &mut CylGroup, block: u32, len: u32) {
+    cg.free_frag_run(block, cg.frags_per_block() - len, len);
+}
+
+#[test]
+fn firstfit_rejects_when_only_short_holes_remain() {
+    // No fully free block and every hole shorter than `len`: the summary
+    // rules the request out without a scan, and the map agrees.
+    for fsize in FSIZES {
+        let fpb = geometry(fsize).frags_per_block();
+        if fpb == 1 {
+            // No sub-block request exists; a full group's summary is empty.
+            assert!(full_group(fsize).frag_summary().is_empty());
+            continue;
+        }
+        for len in 1..fpb {
+            let mut cg = full_group(fsize);
+            let m = cg.meta_blocks();
+            if len > 1 {
+                for (i, b) in (m..cg.nblocks()).step_by(37).enumerate() {
+                    open_hole(&mut cg, b, 1 + i as u32 % (len - 1));
+                }
+            }
+            assert_eq!(cg.free_blocks(), 0);
+            assert_summary_exact(&cg);
+            for from in [0, m, cg.nblocks() - 1, cg.nblocks(), u32::MAX] {
+                assert!(
+                    cg.find_frag_run(from, len).is_none(),
+                    "fpb {fpb}: no {len}-frag run exists (from {from})"
+                );
+            }
+            assert_every_firstfit_matches(&cg);
+        }
+    }
+}
+
+#[test]
+fn firstfit_takes_the_nearest_free_block_when_holes_are_short() {
+    // Free blocks exist but `frsum` has no bucket `>= len`: the answer is
+    // the first free block at or after `from`, wrapping once.
+    for fsize in FSIZES {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        if fpb == 1 {
+            continue;
+        }
+        let m = cg.meta_blocks();
+        let (f1, f2) = (m + 40, m + 200);
+        cg.free_block(f1);
+        cg.free_block(f2);
+        // Holes one frag short of `len` on both sides of each free block
+        // (none at fpb 2, where `len` is 1).
+        let len = fpb - 1;
+        if len > 1 {
+            for b in [m + 3, f1 - 1, f1 + 1, f2 + 5, cg.nblocks() - 1] {
+                open_hole(&mut cg, b, len - 1);
+            }
+        }
+        assert_summary_exact(&cg);
+        assert_eq!(first_fit(&cg, m, len), Some((f1, 0)));
+        assert_eq!(first_fit(&cg, f1 + 1, len), Some((f2, 0)));
+        assert_eq!(
+            first_fit(&cg, f2 + 1, len),
+            Some((f1, 0)),
+            "wraps to the first free block"
+        );
+        assert_eq!(first_fit(&cg, u32::MAX, len), Some((f1, 0)));
+        assert_every_firstfit_matches(&cg);
+    }
+}
+
+#[test]
+fn firstfit_prefers_an_adequate_lane_on_either_side_of_the_free_block() {
+    // A partial lane before the nearest free block wins; one after it
+    // loses to the free block until the search starts past it.
+    for fsize in FSIZES {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        if fpb == 1 {
+            continue;
+        }
+        let m = cg.meta_blocks();
+        let (before, free, after) = (m + 60, m + 130, m + 250);
+        let len = fpb - 1;
+        open_hole(&mut cg, before, len);
+        cg.free_block(free);
+        open_hole(&mut cg, after, len);
+        assert_summary_exact(&cg);
+        assert_eq!(first_fit(&cg, m, len), Some((before, 1)));
+        assert_eq!(first_fit(&cg, before, len), Some((before, 1)));
+        assert_eq!(first_fit(&cg, before + 1, len), Some((free, 0)));
+        assert_eq!(first_fit(&cg, free + 1, len), Some((after, 1)));
+        assert_eq!(
+            first_fit(&cg, after + 1, len),
+            Some((before, 1)),
+            "wrap pass"
+        );
+        assert_every_firstfit_matches(&cg);
+    }
+}
+
+#[test]
+fn firstfit_at_the_group_edge_and_past_it() {
+    // `from` past the end restarts at the metadata edge; `from` inside
+    // the partial trailing frag word finds runs there or wraps.
+    for fsize in FSIZES {
+        let mut cg = full_group(fsize);
+        let fpb = cg.frags_per_block();
+        if fpb == 1 {
+            continue;
+        }
+        let (m, n) = (cg.meta_blocks(), cg.nblocks());
+        let lanes = 64 / fpb;
+        let tail = n - n % lanes;
+        assert!(tail < n, "fpb {fpb}: the trailing word must be partial");
+        let len = fpb - 1;
+        open_hole(&mut cg, n - 1, len);
+        open_hole(&mut cg, m + 10, len);
+        assert_summary_exact(&cg);
+        assert_eq!(first_fit(&cg, tail, len), Some((n - 1, 1)));
+        assert_eq!(first_fit(&cg, n - 1, len), Some((n - 1, 1)));
+        assert_eq!(first_fit(&cg, n, len), Some((m + 10, 1)));
+        assert_eq!(first_fit(&cg, u32::MAX, len), Some((m + 10, 1)));
+        assert_every_firstfit_matches(&cg);
+        // A free block in the trailing word, before the hole there.
+        cg.free_block(n - 2);
+        assert_eq!(first_fit(&cg, tail, len), Some((n - 2, 0)));
+        assert_eq!(first_fit(&cg, n - 1, len), Some((n - 1, 1)));
+        assert_every_firstfit_matches(&cg);
+        // Only the free block left: the wrap from inside the trailing
+        // word's last block comes back around to it.
+        cg.alloc_frags(n - 1, 1, len);
+        cg.alloc_frags(m + 10, 1, len);
+        assert_eq!(first_fit(&cg, n - 1, len), Some((n - 2, 0)));
+        assert_eq!(first_fit(&cg, n, len), Some((n - 2, 0)));
+        assert_every_firstfit_matches(&cg);
     }
 }
